@@ -312,15 +312,15 @@ def cmd_obs_report(args) -> int:
 
 
 def cmd_kg_snapshot(args) -> int:
-    from repro.kg.wal import DurableTripleStore
+    from repro.kg.wal import recover
 
     ds = _build_dataset(args.dataset, args.seed)
-    store = DurableTripleStore(args.directory)
+    store = recover(args.directory)
     added = store.add_all(t for t in ds.kg.store if t not in store)
     count = store.snapshot()
     store.close()
     print(f"snapshot of {ds.name}: {count} triples ({added} new) "
-          f"at lsn {store.version} in {args.directory}")
+          f"at version {store.version} in {args.directory}")
     return 0
 
 
@@ -335,8 +335,8 @@ def cmd_kg_recover(args) -> int:
         return 2
     report = store.last_recovery
     store.close()
-    print(f"recovered {report.triples} triples at lsn {report.version} "
-          f"(snapshot lsn {report.snapshot_lsn} with "
+    print(f"recovered {report.triples} triples at version "
+          f"{report.version} (snapshot lsn {report.snapshot_lsn} with "
           f"{report.snapshot_triples} triples, "
           f"{report.records_replayed} WAL records replayed, "
           f"{report.truncated_bytes} torn bytes truncated)")

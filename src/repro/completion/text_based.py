@@ -30,12 +30,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.hashing import stable_unit
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, RDF, Triple
 from repro.llm import prompts as P
 from repro.llm.embedding import TextEncoder
-from repro.llm.model import SimulatedLLM, _stable_unit
+from repro.llm.model import SimulatedLLM
 
 
 class KGBertScorer:
@@ -79,7 +80,7 @@ class KGBertScorer:
             if expected and candidate_types & expected:
                 score += 0.1
         # Lexical-similarity tiebreak (the cross-encoder's soft judgment).
-        score += 0.04 * _stable_unit("kgbert", str(self.llm.config.seed), triple.n3())
+        score += 0.04 * stable_unit("kgbert", str(self.llm.config.seed), triple.n3())
         return score
 
     def score_tails(self, head: IRI, relation: IRI,

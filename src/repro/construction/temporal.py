@@ -24,10 +24,11 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.kg.datasets import Dataset, SCHEMA
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triples import IRI
-from repro.llm.model import SimulatedLLM, _stable_unit
+from repro.llm.model import SimulatedLLM
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class ZeroShotTemporalExtractor:
         error = (1.0 - self.llm.config.skill) * 0.4
         if gap_tokens > self.long_threshold:
             error = min(0.9, error + 0.05 * (gap_tokens - self.long_threshold))
-        if _stable_unit(str(self.llm.config.seed), "temporal", sentence) < error:
+        if stable_unit(str(self.llm.config.seed), "temporal", sentence) < error:
             relation = TemporalRelation(earlier=relation.later,
                                         later=relation.earlier)
         return relation

@@ -23,6 +23,7 @@ from repro.core.pipeline import (
     StagePolicy,
     StageReport,
 )
+from repro.core.hashing import stable_hash, stable_unit
 from repro.core.executor import (
     ItemOutcome,
     ParallelExecutor,
@@ -78,6 +79,8 @@ __all__ = [
     "ItemOutcome",
     "ParallelExecutor",
     "chunked",
+    "stable_hash",
+    "stable_unit",
     "CircuitBreaker",
     "CircuitOpenError",
     "Deadline",

@@ -26,18 +26,12 @@ other stage.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
-
-def _stable_unit(*parts: str) -> float:
-    """Deterministic float in [0, 1) keyed by the parts."""
-    digest = hashlib.blake2b("\x00".join(parts).encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2 ** 64
+from repro.core.hashing import stable_unit
 
 
 class ResilienceError(RuntimeError):
@@ -151,7 +145,7 @@ class RetryPolicy:
         """The simulated backoff before retry number ``attempt`` (0-based)."""
         raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
         spread = 1.0 + self.jitter * (
-            2.0 * _stable_unit(str(self.seed), key, str(attempt)) - 1.0)
+            2.0 * stable_unit(str(self.seed), key, str(attempt)) - 1.0)
         return raw * spread
 
     def run(self, fn: Callable[[], Any], key: str = "",

@@ -86,24 +86,14 @@ class KnowledgeGraph:
         return version
 
     def cache_stats(self) -> Dict[str, int]:
-        """Read-path cache counters in the canonical cache-stats schema.
-
-        The pre-schema keys (``labels_cached``/``descriptions_cached``/
-        ``types_cached``) stay readable through the deprecation shim of
-        :class:`~repro.core.observability.LegacyCacheStats`.
-        """
+        """Read-path cache counters in the canonical cache-stats schema."""
         with self._cache_lock:
-            labels = len(self._label_cache)
-            descriptions = len(self._description_cache)
-            types = len(self._types_cache)
             return cache_stats_dict(
                 hits=self._cache_hits, misses=self._cache_misses,
                 evictions=self._cache_evictions,
                 invalidations=self._cache_invalidations,
-                size=labels + descriptions + types,
-                legacy={"labels_cached": labels,
-                        "descriptions_cached": descriptions,
-                        "types_cached": types})
+                size=(len(self._label_cache) + len(self._description_cache)
+                      + len(self._types_cache)))
 
     def label_index_stats(self) -> Dict[str, int]:
         """Maintenance counters for the segmented label reverse index.
@@ -448,13 +438,14 @@ class KnowledgeGraph:
                 obs=None, name: Optional[str] = None) -> "KnowledgeGraph":
         """A graph over a crash-recoverable store persisted in ``directory``.
 
-        The backing :class:`~repro.kg.wal.DurableTripleStore` recovers any
-        existing snapshot + WAL on construction and logs every subsequent
-        mutation; see the ``repro.kg.wal`` module for the on-disk format.
+        The backing store is opened by :func:`repro.kg.wal.recover`: it
+        recovers whichever layout ``directory`` holds (a fresh directory
+        gets a flat :class:`~repro.kg.wal.DurableTripleStore`) and logs
+        every subsequent mutation; see the ``repro.kg.wal`` module for the
+        on-disk formats.
         """
-        from repro.kg.wal import DurableTripleStore
-        store = DurableTripleStore(directory, snapshot_every=snapshot_every,
-                                   obs=obs)
+        from repro.kg.wal import recover
+        store = recover(directory, snapshot_every=snapshot_every, obs=obs)
         return cls(store, name=name or directory.rstrip("/").rsplit("/", 1)[-1])
 
     @classmethod

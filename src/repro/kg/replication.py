@@ -43,8 +43,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.core.observability import percentile, resolve_obs
-from repro.core.resilience import CircuitBreaker, ResilienceError, _stable_unit
+from repro.core.resilience import CircuitBreaker, ResilienceError
 from repro.kg.sharding import DEFAULT_SHARDS, ShardedTripleStore
 from repro.kg.store import TripleStore
 from repro.kg.triples import Triple
@@ -200,14 +201,14 @@ class TransportProfile:
             if window.covers(shard, replica, index):
                 return TransportOutcome("partition", self.timeout_latency)
         key = (str(self.seed), str(shard), str(replica), op, str(index))
-        if self.drop_rate and _stable_unit("drop", *key) < self.drop_rate:
+        if self.drop_rate and stable_unit("drop", *key) < self.drop_rate:
             return TransportOutcome("drop", self.timeout_latency)
         if self.timeout_rate and \
-                _stable_unit("timeout", *key) < self.timeout_rate:
+                stable_unit("timeout", *key) < self.timeout_rate:
             return TransportOutcome("timeout", self.timeout_latency)
         latency = self.base_latency * (
-            1.0 + self.jitter * _stable_unit("lat", *key))
-        if self.tail_rate and _stable_unit("tail", *key) < self.tail_rate:
+            1.0 + self.jitter * stable_unit("lat", *key))
+        if self.tail_rate and stable_unit("tail", *key) < self.tail_rate:
             latency *= self.tail_multiplier
         return TransportOutcome("ok", latency)
 
@@ -764,20 +765,6 @@ class ReplicatedShardedTripleStore(ShardedTripleStore):
     def restore_partitions(self) -> None:
         """Lift all forced partitions from the transport."""
         self.transport.restore_all()
-
-    def reset_read_stats(self) -> None:
-        """Clear latency samples and read counters (between bench phases)."""
-        with self._stats_lock:
-            self.reads = 0
-            self.hedges_fired = 0
-            self.hedge_wins = 0
-            self.failovers = 0
-            self.stale_reads = 0
-            self.stale_rejections = 0
-            self.quorum_losses = 0
-            self.unavailable = 0
-            self.read_latencies = []
-            self.last_read = {}
 
     def read_latency_quantile(self, q: float) -> float:
         """The q-th percentile (0-100) of simulated read latencies."""

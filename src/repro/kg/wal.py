@@ -1,21 +1,37 @@
-"""Write-ahead logging, snapshots, and crash recovery for the triple store.
+"""Write-ahead logging, snapshots, and crash recovery for the triple stores.
 
 The survey's construction pipelines build KGs over thousands of LLM calls;
 losing the store to a process crash means re-spending all of them. This
-module gives :class:`~repro.kg.store.TripleStore` process-level durability
-with the classic WAL discipline:
+module gives both durable stores — the flat :class:`DurableTripleStore`
+and :class:`~repro.kg.sharding.DurableShardedTripleStore` — process-level
+durability through one engine, :class:`WalEngine`, with the classic WAL
+discipline:
 
 * every *effective* mutation batch (the same batches that bump
   :attr:`~repro.kg.store.TripleStore.version`) is appended to a
-  checksummed log **before** control returns to the caller — the version
-  counter doubles as the log sequence number (LSN);
-* a compacted **snapshot** (plain N-Triples plus an LSN header comment)
-  is written atomically (tmp file + ``os.replace``) every
-  ``snapshot_every`` records, after which the log is reset;
-* :func:`recover` replays snapshot + log back into an identical store,
-  detecting torn or corrupt tail records by their per-record CRC32 and
-  truncating them — a crash mid-``write`` can cost at most the batch that
-  was being logged, never consistency.
+  checksummed log **before** control returns to the caller; each record
+  carries the batch's LSN (the store's version after the batch) and a
+  globally monotonic ``seq``;
+* a compacted **snapshot** (plain N-Triples under a ``# lsn=<seq>`` and a
+  ``# version=<version>`` header comment) is written atomically (tmp
+  file + fsync + ``os.replace``) every ``snapshot_every`` batches, after
+  which the logs are reset;
+* recovery loads the snapshot, scans every log (truncating torn or
+  corrupt tails, detected by per-record CRC32), and replays the longest
+  contiguous ``seq`` prefix — a crash mid-``write`` can cost at most the
+  batch that was being logged, never consistency.
+
+Two on-disk layouts share that engine::
+
+    flat (DurableTripleStore)        sharded (DurableShardedTripleStore)
+      snapshot.nt                      manifest.json   {"shards": N}
+      wal.log                          snapshot.nt
+                                       shard-00/wal.log ... shard-NN/wal.log
+
+With one log a batch is one record. With several, a batch is logged as
+one record per run of consecutive triples routed to the same log, and the
+``seq`` restores the cross-log order. :func:`recover` opens whichever
+layout a directory holds.
 
 Record format (binary, little machinery on the hot path)::
 
@@ -23,11 +39,15 @@ Record format (binary, little machinery on the hot path)::
     | length (u32) | crc32 (u32) | payload (UTF-8, ``length`` bytes)|
     +--------------+-------------+----------------------------------+
 
-with a payload of ``"<op> <lsn>\\n"`` (op ∈ add/remove/clear) followed by
-one N-Triples line per affected triple — the same ``Triple.n3()`` encoding
-the rest of the toolkit round-trips. Appends are flushed to the OS per
-record, so any process-level crash (the crash-injection harness uses
-``os._exit``) preserves every completed batch.
+with a payload of ``"<op> <lsn> <seq>\\n"`` (op ∈ add/remove/clear)
+followed by one N-Triples line per affected triple — the same
+``Triple.n3()`` encoding the rest of the toolkit round-trips. Appends are
+flushed to the OS per record, so any process-level crash (the
+crash-injection harness uses ``os._exit``) preserves every completed
+batch. Logs and snapshots written before the ``seq``/``version`` fields
+existed stay readable: a record without a ``seq`` reads as ``seq = lsn``
+and a snapshot without ``# version=`` as ``version = lsn`` (both held for
+the flat store, which bumped its version once per logged batch).
 """
 
 from __future__ import annotations
@@ -36,7 +56,8 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from itertools import groupby
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.observability import resolve_obs
 from repro.kg.rdf import RDFSyntaxError, parse_ntriples_line
@@ -44,20 +65,22 @@ from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, Triple
 
 __all__ = [
-    "DurableTripleStore", "RecoveryReport", "SNAPSHOT_FILENAME",
-    "WAL_FILENAME", "WalCorruptionError", "WalRecord", "WriteAheadLog",
-    "apply_record", "decode_payload", "encode_record", "read_snapshot",
-    "recover", "scan_wal", "write_snapshot",
+    "DurableStore", "DurableTripleStore", "RecoveryReport",
+    "SNAPSHOT_FILENAME", "WAL_FILENAME", "WalCorruptionError", "WalEngine",
+    "WalRecord", "WriteAheadLog", "apply_record", "decode_payload",
+    "encode_record", "read_snapshot", "recover", "scan_wal",
+    "write_snapshot",
 ]
 
 
 def apply_record(store: TripleStore, record: "WalRecord") -> None:
     """Apply one WAL record to ``store`` without logging or version bumps.
 
-    The single definition of what a record *means*, shared by local
-    recovery (``DurableTripleStore._apply``) and replica catch-up (the
-    replication layer ships these same records to keep followers
-    consistent with the primary's log).
+    The single definition of what a record *means*, shared by recovery of
+    both durable stores (through the ``_insert``/``_delete``/``_clear``
+    hooks every store implements) and replica catch-up (the replication
+    layer ships these same records to keep followers consistent with the
+    primary's log).
     """
     if record.op == "add":
         for triple in record.triples:
@@ -66,10 +89,7 @@ def apply_record(store: TripleStore, record: "WalRecord") -> None:
         for triple in record.triples:
             store._delete(triple)
     elif record.op == "clear":
-        store._triples.clear()
-        store._spo.clear()
-        store._pos.clear()
-        store._osp.clear()
+        store._clear()
     else:
         raise ValueError(f"unknown WAL op {record.op!r}")
 
@@ -100,11 +120,11 @@ class WalRecord:
     op: str
     lsn: int
     triples: Tuple[Triple, ...] = ()
-    #: Optional global sequence number. Sharded stores append to one WAL per
-    #: shard, losing the cross-shard interleave that the single-file log gets
-    #: for free; ``seq`` restores it — recovery merges all shards' records by
-    #: ``seq`` and replays in that order. Unsharded records omit it, so old
-    #: logs (two-token headers) stay readable.
+    #: Global sequence number. A sharded store appends to one log per
+    #: shard, losing the cross-log interleave a single log gets for free;
+    #: ``seq`` restores it — recovery merges every log's records by ``seq``
+    #: and replays in that order. Records written without one (two-token
+    #: headers) read as ``seq = lsn``.
     seq: Optional[int] = None
 
 
@@ -227,20 +247,22 @@ class WriteAheadLog:
             self._handle = None
 
 
-def write_snapshot(triples: Iterable[Triple], path: str, lsn: int) -> int:
+def write_snapshot(triples: Iterable[Triple], path: str, seq: int,
+                   version: int) -> int:
     """Write a compacted snapshot atomically; returns the triple count.
 
-    The snapshot is a regular N-Triples document whose first line is an
-    ``# lsn=<n>`` comment (comments are skipped by every N-Triples reader,
-    so the file stays loadable by :func:`repro.kg.rdf.load_ntriples`). The
-    write goes to a temp file that is fsynced and then ``os.replace``d over
-    the target, so a crash mid-snapshot leaves the previous snapshot
-    intact.
+    The snapshot is a regular N-Triples document under two header
+    comments, ``# lsn=<seq>`` (the last ``seq`` it folds in) and
+    ``# version=<version>`` (comments are skipped by every N-Triples
+    reader, so the file stays loadable by
+    :func:`repro.kg.rdf.load_ntriples`). The write goes to a temp file
+    that is fsynced and then ``os.replace``d over the target, so a crash
+    mid-snapshot leaves the previous snapshot intact.
     """
     tmp_path = path + ".tmp"
     count = 0
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write(f"# lsn={lsn}\n")
+        handle.write(f"# lsn={seq}\n# version={version}\n")
         for triple in triples:
             handle.write(triple.n3() + "\n")
             count += 1
@@ -250,24 +272,40 @@ def write_snapshot(triples: Iterable[Triple], path: str, lsn: int) -> int:
     return count
 
 
-def read_snapshot(path: str) -> Tuple[List[Triple], int]:
-    """Read a snapshot back as ``(triples, lsn)`` (lsn 0 when unheadered)."""
-    lsn = 0
+def read_snapshot(path: str) -> Tuple[List[Triple], int, int]:
+    """Read a snapshot back as ``(triples, seq, version)``.
+
+    An unheadered file reads as seq 0; a file without ``# version=``
+    reads as ``version = seq``.
+    """
+    seq = 0
+    version: Optional[int] = None
     triples: List[Triple] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if line.startswith("# lsn="):
-                lsn = int(line[len("# lsn="):].strip())
-                continue
-            triple = parse_ntriples_line(line)
-            if triple is not None:
-                triples.append(triple)
-    return triples, lsn
+                seq = int(line[len("# lsn="):].strip())
+            elif line.startswith("# version="):
+                version = int(line[len("# version="):].strip())
+            else:
+                triple = parse_ntriples_line(line)
+                if triple is not None:
+                    triples.append(triple)
+    return triples, seq, seq if version is None else version
+
+
+def _seq(record: WalRecord) -> int:
+    """A record's position in the global order (``lsn`` when unsequenced)."""
+    return record.lsn if record.seq is None else record.seq
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What a recovery found: snapshot state, replay extent, damage cut."""
+    """What a recovery found: snapshot state, replay extent, damage cut.
+
+    ``snapshot_lsn`` is the last ``seq`` the snapshot folds in;
+    ``version`` and ``triples`` describe the recovered store.
+    """
 
     snapshot_lsn: int
     snapshot_triples: int
@@ -277,64 +315,79 @@ class RecoveryReport:
     triples: int
 
 
-class DurableTripleStore(TripleStore):
-    """A :class:`TripleStore` whose mutations survive process crashes.
+class WalEngine:
+    """The durability engine behind both durable stores.
 
-    State lives in one directory: ``snapshot.nt`` (the compacted base
-    image) and ``wal.log`` (batches since the snapshot). Construction *is*
-    recovery — the snapshot is loaded, the log's consistent prefix is
-    replayed, and any torn tail is truncated — after which the store
-    behaves exactly like its in-memory parent, logging each effective
-    batch through the :meth:`~repro.kg.store.TripleStore._committed` hook.
+    Owns the store's log files, global ``seq`` allocation, the commit step
+    (batch → records), the snapshot, recovery, ``snapshot_every``
+    autocompaction and the durability counters (the ``kg.wal`` obs
+    source). ``paths`` lists the logs; with more than one, ``route`` maps
+    a triple's subject to the index of the log that owns it.
 
-    ``snapshot_every`` bounds log growth: after that many logged batches a
-    compacted snapshot is written and the log reset. Snapshot-then-reset
-    ordering is crash-safe — a crash between the two leaves records whose
-    LSN is ≤ the snapshot LSN in the log, and replay skips those.
+    Snapshot-then-reset ordering is crash-safe: a crash between the two
+    leaves records whose ``seq`` is ≤ the snapshot's in the logs, and
+    replay skips those.
     """
 
-    def __init__(self, directory: str,
-                 snapshot_every: Optional[int] = None,
-                 obs=None):
-        self._wal: Optional[WriteAheadLog] = None  # gates _committed during recovery
-        self.directory = directory
+    def __init__(self, store: TripleStore, directory: str,
+                 paths: List[str], *,
+                 route: Optional[Callable[[IRI], int]] = None,
+                 snapshot_every: Optional[int] = None, obs=None):
+        self.store = store
+        self.paths = list(paths)
+        self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
+        self.route = route
         self.snapshot_every = snapshot_every
         self.obs = resolve_obs(obs)
-        self.wal_path = os.path.join(directory, WAL_FILENAME)
-        self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
-        self._records_since_snapshot = 0
+        self.seq = 0
+        self.records_since_snapshot = 0
         self.recoveries = 0
         self.truncated_bytes = 0
         self.snapshots_written = 0
-        os.makedirs(directory, exist_ok=True)
-        super().__init__()
-        self.last_recovery = self._recover()
-        self._wal = WriteAheadLog(self.wal_path)
-        self.obs.register_source("kg.wal", self.durability_stats)
+        self._logs: Optional[List[WriteAheadLog]] = None  # None while recovering
+        for path in self.paths:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(self) -> RecoveryReport:
-        """Load snapshot + consistent log prefix; truncate any torn tail."""
-        snapshot_lsn = 0
-        snapshot_count = 0
-        had_state = os.path.exists(self.snapshot_path) or os.path.exists(self.wal_path)
+    def recover(self) -> RecoveryReport:
+        """Load snapshot + the logs' longest contiguous ``seq`` prefix.
+
+        Torn tails are truncated; records beyond a gap (a run lost to a
+        torn tail on one log) are dropped from every log, so the
+        recovered state is always one the store actually passed through
+        and re-allocated ``seq`` numbers never collide with orphans. The
+        logs then open for appends.
+        """
+        store = self.store
+        had_state = any(os.path.exists(path)
+                        for path in [self.snapshot_path, *self.paths])
+        snap_seq = version = snap_count = 0
         if os.path.exists(self.snapshot_path):
-            triples, snapshot_lsn = read_snapshot(self.snapshot_path)
-            for triple in triples:
-                self._insert(triple)
-            snapshot_count = len(triples)
-            self._version = snapshot_lsn
-        records, truncated = scan_wal(self.wal_path, truncate=True)
-        replayed = 0
-        for record in records:
-            if record.lsn <= snapshot_lsn:
-                continue  # already folded into the snapshot (crash before log reset)
-            self._apply(record)
-            self._version = record.lsn
-            replayed += 1
-        self._records_since_snapshot = replayed
+            triples, snap_seq, version = read_snapshot(self.snapshot_path)
+            apply_record(store, WalRecord("add", version, tuple(triples)))
+            snap_count = len(triples)
+        per_log: List[List[WalRecord]] = []
+        truncated = 0
+        for path in self.paths:
+            records, cut = scan_wal(path, truncate=True)
+            truncated += cut
+            per_log.append([r for r in records if _seq(r) > snap_seq])
+        merged = sorted((r for records in per_log for r in records), key=_seq)
+        cutoff = snap_seq
+        for record in merged:
+            if _seq(record) != cutoff + 1:
+                break
+            apply_record(store, record)
+            version = record.lsn
+            cutoff += 1
+        replayed = cutoff - snap_seq
+        if replayed < len(merged):
+            truncated += self._drop_orphans(per_log, cutoff)
+        store._version = version
+        self.seq = cutoff
+        self.records_since_snapshot = replayed
         self.truncated_bytes += truncated
         if had_state:
             self.recoveries += 1
@@ -342,69 +395,187 @@ class DurableTripleStore(TripleStore):
                 self.obs.count("wal.recoveries")
                 if truncated:
                     self.obs.count("wal.truncated_bytes", truncated)
+        self._logs = [WriteAheadLog(path) for path in self.paths]
+        self.obs.register_source("kg.wal", self.stats)
         return RecoveryReport(
-            snapshot_lsn=snapshot_lsn, snapshot_triples=snapshot_count,
+            snapshot_lsn=snap_seq, snapshot_triples=snap_count,
             records_replayed=replayed, truncated_bytes=truncated,
-            version=self._version, triples=len(self))
+            version=version, triples=len(store))
 
-    def _apply(self, record: WalRecord) -> None:
-        """Apply one replayed record without logging or version bumps."""
-        apply_record(self, record)
+    def _drop_orphans(self, per_log: List[List[WalRecord]],
+                      cutoff: int) -> int:
+        """Rewrite each log without its records past ``cutoff``.
+
+        Each rewrite goes to a temp file replaced over the log, so a crash
+        mid-rewrite keeps the old log. Returns the bytes dropped.
+        """
+        dropped = 0
+        for path, records in zip(self.paths, per_log):
+            keep = [r for r in records if _seq(r) <= cutoff]
+            if len(keep) == len(records):
+                continue
+            dropped += sum(len(encode_record(r)) for r in records[len(keep):])
+            rewrite = WriteAheadLog(path + ".tmp")
+            rewrite.reset()
+            for record in keep:
+                rewrite.append(record)
+            rewrite.close()
+            os.replace(rewrite.path, path)
+        return dropped
 
     # ------------------------------------------------------------------
     # Logging
     # ------------------------------------------------------------------
-    def _committed(self, op: str, triples: Iterable[Triple]) -> None:
-        """Append the just-committed batch to the log (WAL discipline)."""
-        if self._wal is None:
-            return  # bootstrap/replay: state is already on disk
-        nbytes = self._wal.append(WalRecord(op, self._version, tuple(triples)))
+    def commit(self, op: str, triples: Iterable[Triple]) -> None:
+        """Log one just-committed batch; snapshot when one is due.
+
+        The batch becomes one record per run of consecutive triples bound
+        for the same log (the whole batch with a single log). ``clear``
+        goes to every log, so each log is self-contained; its replay is
+        idempotent and the seqs keep the global order.
+        """
+        logs = self._logs
+        if logs is None:
+            return  # recovering: the batch is already on disk
+        if op == "clear":
+            runs = [(index, ()) for index in range(len(logs))]
+        elif self.route is None:
+            runs = [(0, tuple(triples))]
+        else:
+            route = self.route
+            runs = [(index, tuple(run)) for index, run in
+                    groupby(triples, key=lambda t: route(t.subject))]
+        lsn = self.store._version
+        nbytes = 0
+        for index, run in runs:
+            self.seq += 1
+            nbytes += logs[index].append(WalRecord(op, lsn, run, self.seq))
         if self.obs.enabled:
-            self.obs.count("wal.records")
+            self.obs.count("wal.records", len(runs))
             self.obs.count("wal.bytes", nbytes)
-        self._records_since_snapshot += 1
-        if self.snapshot_every and self._records_since_snapshot >= self.snapshot_every:
+        self.records_since_snapshot += 1
+        if self.snapshot_every and \
+                self.records_since_snapshot >= self.snapshot_every:
             self.snapshot()
 
     def snapshot(self) -> int:
-        """Write a compacted snapshot and reset the log; returns the count.
+        """Write a compacted snapshot, then reset every log; returns the count.
 
         Safe at any point: the snapshot replaces atomically, and only once
-        it is durable is the log truncated.
+        it is durable are the logs truncated.
         """
-        count = write_snapshot(self, self.snapshot_path, self._version)
-        if self._wal is not None:
-            self._wal.reset()
-        self._records_since_snapshot = 0
+        store = self.store
+        count = write_snapshot(store, self.snapshot_path, self.seq,
+                               store._version)
+        for log in self._logs or ():
+            log.reset()
+        self.records_since_snapshot = 0
         self.snapshots_written += 1
         if self.obs.enabled:
             self.obs.count("wal.snapshots")
         return count
 
     def close(self) -> None:
-        """Release the log's file handle (state on disk stays recoverable)."""
-        if self._wal is not None:
-            self._wal.close()
+        """Close every log handle (state on disk stays recoverable)."""
+        for log in self._logs or ():
+            log.close()
 
-    def durability_stats(self) -> dict:
+    def stats(self) -> dict:
         """Counters for the observability layer's ``kg.wal`` source."""
-        wal = self._wal
+        logs = self._logs or ()
         return {
-            "wal_records": wal.records_written if wal else 0,
-            "wal_bytes": wal.bytes_written if wal else 0,
+            "wal_records": sum(log.records_written for log in logs),
+            "wal_bytes": sum(log.bytes_written for log in logs),
             "snapshots": self.snapshots_written,
             "recoveries": self.recoveries,
             "truncated_bytes": self.truncated_bytes,
-            "lsn": self._version,
-            "triples": len(self),
+            "lsn": self.store._version,
+            "seq": self.seq,
+            "triples": len(self.store),
+            "logs": len(self.paths),
         }
 
 
-def recover(directory: str, obs=None) -> DurableTripleStore:
-    """Recover the durable store persisted under ``directory``.
+class DurableStore:
+    """The durable surface both durable stores share, delegated to a
+    :class:`WalEngine` (``self.wal``).
 
-    Convenience spelling of ``DurableTripleStore(directory)`` that reads as
-    intent at call sites (the CLI's ``repro kg recover``). The recovery's
-    findings are on the returned store's ``last_recovery`` report.
+    Construction *is* recovery: :meth:`_open_wal` loads the snapshot,
+    replays the logs' consistent prefix and truncates any torn tail,
+    after which every effective batch is logged through the
+    :meth:`~repro.kg.store.TripleStore._committed` hook.
     """
-    return DurableTripleStore(directory, obs=obs)
+
+    wal: WalEngine
+    last_recovery: RecoveryReport
+
+    def _open_wal(self, directory: str, paths: List[str],
+                  snapshot_every: Optional[int], obs,
+                  route: Optional[Callable[[IRI], int]] = None) -> None:
+        self.wal = WalEngine(self, directory, paths, route=route,
+                             snapshot_every=snapshot_every, obs=obs)
+        self.last_recovery = self.wal.recover()
+
+    def _committed(self, op: str, triples: Iterable[Triple]) -> None:
+        """Log the just-committed batch (WAL discipline)."""
+        self.wal.commit(op, triples)
+
+    def snapshot(self) -> int:
+        """Write a compacted snapshot and reset the logs; returns the count."""
+        return self.wal.snapshot()
+
+    def close(self) -> None:
+        """Release the log file handles (state on disk stays recoverable)."""
+        self.wal.close()
+
+    def durability_stats(self) -> dict:
+        """Counters for the observability layer's ``kg.wal`` source."""
+        return self.wal.stats()
+
+
+class DurableTripleStore(DurableStore, TripleStore):
+    """A :class:`TripleStore` whose mutations survive process crashes.
+
+    State lives in one directory: ``snapshot.nt`` (the compacted base
+    image) and ``wal.log`` (batches since the snapshot, one record each).
+    ``snapshot_every`` bounds log growth: after that many logged batches
+    a compacted snapshot is written and the log reset.
+    """
+
+    def __init__(self, directory: str,
+                 snapshot_every: Optional[int] = None,
+                 obs=None):
+        super().__init__()
+        self._open_wal(directory, [os.path.join(directory, WAL_FILENAME)],
+                       snapshot_every, obs)
+
+
+def recover(directory: str, *, shards: Optional[int] = None,
+            snapshot_every: Optional[int] = None, executor=None,
+            obs=None) -> DurableStore:
+    """Open the durable store persisted under ``directory``, either layout.
+
+    A directory holding ``manifest.json`` opens as a
+    :class:`~repro.kg.sharding.DurableShardedTripleStore` (``shards=None``
+    keeps the manifest's count; another count re-routes), and so does a
+    new directory when ``shards`` is given; anything else opens as a
+    :class:`DurableTripleStore`. The recovery's findings are on the
+    returned store's ``last_recovery`` report.
+
+    Raises ``ValueError`` when ``shards`` is given for a directory that
+    holds a flat store, whose log a sharded store would not read.
+    """
+    from repro.kg.sharding import MANIFEST_FILENAME, DurableShardedTripleStore
+
+    sharded = os.path.exists(os.path.join(directory, MANIFEST_FILENAME))
+    if shards is not None and not sharded:
+        if os.path.exists(os.path.join(directory, WAL_FILENAME)):
+            raise ValueError(f"{directory} holds a flat durable store; "
+                             f"shards= applies only to the sharded layout")
+        sharded = True
+    if sharded:
+        return DurableShardedTripleStore(
+            directory, shards=shards, snapshot_every=snapshot_every,
+            executor=executor, obs=obs)
+    return DurableTripleStore(directory, snapshot_every=snapshot_every,
+                              obs=obs)

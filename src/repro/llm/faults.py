@@ -31,12 +31,12 @@ import re
 from dataclasses import dataclass
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.core.observability import NULL_OBS
 from repro.llm.model import (
     ChatMessage,
     LLMResponse,
     SimulatedLLM,
-    _stable_unit,
     complete_all,
 )
 from repro.llm.streaming import stream_chunks
@@ -176,7 +176,7 @@ class FaultProfile:
         if self.burst_period > 0 and self.burst_length > 0 and \
                 call_index % self.burst_period < self.burst_length:
             return "rate_limit"
-        draw = _stable_unit(str(self.seed), "fault", str(call_index), prompt)
+        draw = stable_unit(str(self.seed), "fault", str(call_index), prompt)
         edge = 0.0
         for kind, rate in zip(FAULT_KINDS,
                               (self.timeout_rate, self.rate_limit_rate,
@@ -194,7 +194,7 @@ def _corrupt(text: str, seed: int, call_index: int) -> str:
     stripped = re.sub(r"[|;\[\]{}]", " ", text)
     words = stripped.split()
     for i in range(0, len(words) - 1, 2):
-        if _stable_unit(str(seed), "swap", str(call_index), str(i)) < 0.5:
+        if stable_unit(str(seed), "swap", str(call_index), str(i)) < 0.5:
             words[i], words[i + 1] = words[i + 1], words[i]
     return " ".join(words)
 
@@ -287,7 +287,7 @@ class FaultInjectingLLM:
         if kind != "truncated":
             self._raise_fault(kind, index, prompt, max_tokens)
         response = self.inner.complete(prompt, max_tokens=max_tokens)
-        fraction = 0.2 + 0.6 * _stable_unit(
+        fraction = 0.2 + 0.6 * stable_unit(
             str(self.profile.seed), "cut", str(index))
         partial = response.text[:int(len(response.text) * fraction)]
         return _truncated_stream(partial, index)
@@ -355,7 +355,7 @@ class FaultInjectingLLM:
         # exception — the stream started, then went wrong.
         response = self.inner.complete(prompt, max_tokens=max_tokens)
         if kind == "truncated":
-            fraction = 0.2 + 0.6 * _stable_unit(
+            fraction = 0.2 + 0.6 * stable_unit(
                 str(self.profile.seed), "cut", str(index))
             partial = response.text[:int(len(response.text) * fraction)]
             raise LLMTruncatedOutputError(

@@ -24,7 +24,6 @@ processes, while different prompts decorrelate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -32,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.hashing import stable_hash, stable_unit
 from repro.core.observability import NULL_OBS
 from repro.kg.graph import KnowledgeGraph, _humanize_relation
 from repro.kg.store import TripleStore
@@ -97,16 +97,6 @@ class _Mention:
     end: int
 
 
-def _stable_hash(*parts: str) -> int:
-    digest = hashlib.blake2b("\x00".join(parts).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-def _stable_unit(*parts: str) -> float:
-    """Deterministic float in [0, 1) keyed by the parts."""
-    return _stable_hash(*parts) / 2 ** 64
-
-
 _SCHEMA_MARKERS = (RDF.prefix, RDFS.prefix, OWL.prefix)
 
 
@@ -163,7 +153,7 @@ class SimulatedLLM:
             if is_language:
                 self.memory.add(triple)
             else:
-                gate = _stable_unit(str(self.config.seed), "memorize", triple.n3())
+                gate = stable_unit(str(self.config.seed), "memorize", triple.n3())
                 if gate < coverage:
                     self.memory.add(triple)
                     memorized += 1
@@ -241,7 +231,7 @@ class SimulatedLLM:
         return max(0.01, min(0.95, rate))
 
     def _rng(self, prompt: str) -> random.Random:
-        return random.Random(_stable_hash(str(self.config.seed), self.config.name, prompt))
+        return random.Random(stable_hash(str(self.config.seed), self.config.name, prompt))
 
     # ------------------------------------------------------------------
     # Public inference API

@@ -54,11 +54,6 @@ class RuleStats:
     positives: int        # body instances where the head also holds
     confidence: float     # positives / support
 
-    @property
-    def is_sound(self) -> bool:
-        """Heuristic soundness: confident and non-trivially supported."""
-        return self.support >= 2 and self.confidence >= 0.7
-
 
 def _body_pairs(store: TripleStore, rule: Rule) -> List[Tuple[IRI, IRI]]:
     """All (X, Z) pairs for which the rule body holds."""

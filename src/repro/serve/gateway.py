@@ -38,9 +38,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.core.observability import resolve_obs
-from repro.core.resilience import (CircuitBreaker, Deadline, ResilienceError,
-                                   _stable_unit)
+from repro.core.resilience import CircuitBreaker, Deadline, ResilienceError
 from repro.llm.faults import LLMRateLimitError, LLMTransientError
 
 
@@ -148,7 +148,7 @@ class RateLimiter:
 
     def _hint(self, base: float, tenant: str) -> float:
         rejections = self.throttled["tenant"] + self.throttled["global"]
-        spread = 1.0 + 0.25 * _stable_unit(str(self.seed), tenant,
+        spread = 1.0 + 0.25 * stable_unit(str(self.seed), tenant,
                                            str(rejections))
         return max(base, 1e-6) * spread
 
@@ -520,7 +520,7 @@ class Gateway:
 
     def _jitter(self, request: Request, tier: str) -> float:
         """±20% stable service-time spread keyed by seed/kind/tier/seq."""
-        unit = _stable_unit(str(self.seed), request.kind, tier,
+        unit = stable_unit(str(self.seed), request.kind, tier,
                             str(request.seq))
         return 1.0 + 0.2 * (2.0 * unit - 1.0)
 

@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.core.observability import (FakeClock, Observability, percentile,
                                       resolve_obs)
-from repro.core.resilience import CircuitBreaker, _stable_unit
+from repro.core.resilience import CircuitBreaker
 from repro.serve.backends import TIER_COSTS, build_backends, question_pool
 from repro.serve.gateway import Gateway, RequestResult
 
@@ -211,7 +212,7 @@ class LoadGenerator:
         self.results: List[RequestResult] = []
 
     def _draw(self, *parts: str) -> float:
-        return _stable_unit(str(self.seed), self.mix.name, *parts)
+        return stable_unit(str(self.seed), self.mix.name, *parts)
 
     def _compose(self, index: int,
                  tenant: Optional[str] = None) -> Tuple[str, str, str]:

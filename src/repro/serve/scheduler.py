@@ -53,8 +53,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.core.observability import FakeClock, resolve_obs
-from repro.core.resilience import _stable_unit
 from repro.kg.datasets import DATASET_BUILDERS, Dataset
 from repro.llm.faults import FaultInjectingLLM, FaultProfile, LLMTransientError
 from repro.llm.prefix_cache import RadixPrefixCache
@@ -427,10 +427,6 @@ class TokenScheduler:
             self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
             self.obs.count("serve.stream_shed", reason=reason)
 
-    def results_in_order(self) -> List[RequestResult]:
-        """Resolved results so far, in submission order."""
-        return [self._results[seq] for seq in sorted(self._results)]
-
     def stats(self) -> Dict[str, Any]:
         """All counters as one flat mapping (also an obs pull source)."""
         out: Dict[str, Any] = {
@@ -583,16 +579,16 @@ def build_stream_requests(pool: Dict[str, List[str]], mix: TrafficMix,
     requests: List[StreamRequest] = []
     now = 0.0
     for index in range(n_requests):
-        unit = _stable_unit(str(seed), mix.name, "arrival", str(index))
+        unit = stable_unit(str(seed), mix.name, "arrival", str(index))
         now += -math.log(1.0 - unit) / rate
         kind = mix.pick(mix.kinds,
-                        _stable_unit(str(seed), mix.name, "kind",
+                        stable_unit(str(seed), mix.name, "kind",
                                      str(index)))
         tenant = mix.pick(mix.tenants,
-                          _stable_unit(str(seed), mix.name, "tenant",
+                          stable_unit(str(seed), mix.name, "tenant",
                                        str(index)))
         prompts = pool[kind]
-        pick = int(_stable_unit(str(seed), mix.name, "prompt",
+        pick = int(stable_unit(str(seed), mix.name, "prompt",
                                 str(index)) * len(prompts)) % len(prompts)
         requests.append(StreamRequest(
             tenant=tenant, kind=kind, prompt=prompts[pick], arrival=now,

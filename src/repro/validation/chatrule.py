@@ -18,11 +18,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.hashing import stable_unit
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.ontology import Ontology, PropertyCharacteristic
 from repro.kg.triples import IRI, OWL, RDF, RDFS, Triple
 from repro.llm import prompts as P
-from repro.llm.model import SimulatedLLM, _stable_unit
+from repro.llm.model import SimulatedLLM
 from repro.reasoning.rules import Rule, RuleStats, score_rule
 from repro.validation.inconsistency import (
     ConstraintChecker, StatisticalConstraintMiner, Violation,
@@ -150,7 +151,7 @@ class ChatRuleDetector:
             kept = []
             for characteristic in prop.characteristics:
                 agrees = self._llm_agrees(relation, characteristic)
-                flip = _stable_unit(str(self.seed), "chatrule",
+                flip = stable_unit(str(self.seed), "chatrule",
                                     relation.value,
                                     characteristic.value) < error
                 if agrees != flip:  # agreement, possibly flipped by noise

@@ -7,9 +7,9 @@ then recovers or resumes the half-finished state in a fresh process.
 
 Three workloads, one per durable surface:
 
-* ``store``   — applies a deterministic mutation sequence to a
-  :class:`~repro.kg.wal.DurableTripleStore`, optionally smearing a torn
-  half-record over the WAL tail before dying;
+* ``store``   — applies a deterministic mutation sequence to a durable
+  store (flat, or sharded with ``--shards N``), optionally smearing a
+  torn half-record over a WAL tail before dying;
 * ``qa``      — the ``repro run`` workload (GraphRAG global batch QA with
   fault injection and a parallel executor) journaled through a
   :class:`~repro.core.durability.CheckpointManager`, dying after a seeded
@@ -31,7 +31,7 @@ from repro.core.executor import ParallelExecutor
 from repro.eval.harness import EvalJob, run_experiments
 from repro.kg.datasets import family_kg, movie_kg
 from repro.kg.triples import IRI, Triple
-from repro.kg.wal import WAL_FILENAME, DurableTripleStore
+from repro.kg.wal import recover
 from repro.llm import FaultInjectingLLM, FaultProfile, load_model
 
 CRASH_EXIT = 17
@@ -117,21 +117,14 @@ class CrashingCheckpoint(CheckpointManager):
 def run_store(args):
     """``store`` mode: mutate a durable store, maybe die mid-sequence.
 
-    With ``--shards N`` the store is a
-    :class:`~repro.kg.sharding.DurableShardedTripleStore` (per-shard WALs,
-    global snapshot); the torn-write injector then smears the half-record
-    onto shard 0's log — any shard works, recovery must truncate it.
+    With ``--shards N`` the store is sharded (per-shard WALs, global
+    snapshot), otherwise flat (one WAL). The torn-write injector smears
+    the half-record onto the first log — shard 0's when sharded; any log
+    works, recovery must truncate it.
     """
-    if args.shards:
-        from repro.kg.sharding import DurableShardedTripleStore
-        store = DurableShardedTripleStore(
-            args.dir, shards=args.shards,
-            snapshot_every=args.snapshot_every)
-        torn_target = store.wal_paths[0]
-    else:
-        store = DurableTripleStore(args.dir,
-                                   snapshot_every=args.snapshot_every)
-        torn_target = os.path.join(args.dir, WAL_FILENAME)
+    store = recover(args.dir, shards=args.shards or None,
+                    snapshot_every=args.snapshot_every)
+    torn_target = store.wal.paths[0]
     for index, op in enumerate(store_ops(args.ops)):
         apply_store_op(store, op)
         if args.crash_after is not None and index + 1 >= args.crash_after:

@@ -24,9 +24,9 @@ import sys
 
 import pytest
 
-from repro.kg.sharding import recover_sharded
 from repro.kg.store import TripleStore
-from repro.kg.wal import recover
+from repro.kg.wal import (SNAPSHOT_FILENAME, WAL_FILENAME, DurableTripleStore,
+                          WalRecord, encode_record, recover)
 
 from tests.integration.crash_worker import (
     CRASH_EXIT,
@@ -57,41 +57,57 @@ def expected_store_state(ops_applied):
     return reference
 
 
-class TestStoreCrashRecovery:
+#: The durable layouts the crash matrix covers: flat (one WAL) and four
+#: hash shards (per-shard WALs under one global seq).
+LAYOUTS = {"flat": (), "sharded": ("--shards", 4)}
+
+
+def crash_store(tmp_path, layout, *flags):
+    """Run the ``store`` workload in ``layout``; return (directory, result)."""
+    directory = str(tmp_path / "kg")
+    result = run_worker("store", "--dir", directory, "--ops", 20,
+                        *LAYOUTS[layout], *flags)
+    return directory, result
+
+
+class StoreCrashMatrix:
+    """One crash contract for both durable layouts: a fresh process
+    recovers exactly the committed prefix — same triples in the same
+    order, same version — through the one ``recover`` entry point, with
+    torn log tails truncated. Each layout runs it as a subclass that sets
+    ``layout``."""
+
+    layout = None
+
     @pytest.mark.parametrize("crash_after", [1, 4, 11])
     def test_recovery_matches_committed_prefix(self, tmp_path, crash_after):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--crash-after", crash_after)
+        directory, result = crash_store(tmp_path, self.layout,
+                                        "--crash-after", crash_after)
         assert result.returncode == CRASH_EXIT, result.stderr
         store = recover(directory)
         reference = expected_store_state(crash_after)
-        assert set(store) == set(reference)
+        assert list(store) == list(reference)  # membership AND order
         assert store.version == reference.version == crash_after
         assert store.last_recovery.truncated_bytes == 0
         store.close()
 
-    @pytest.mark.parametrize("crash_after", [2, 7])
-    def test_torn_wal_tail_is_truncated(self, tmp_path, crash_after):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--crash-after", crash_after, "--torn")
+    def check_torn_tail_is_truncated(self, tmp_path, crash_after):
+        directory, result = crash_store(tmp_path, self.layout,
+                                        "--crash-after", crash_after, "--torn")
         assert result.returncode == CRASH_EXIT, result.stderr
         store = recover(directory)
-        reference = expected_store_state(crash_after)
-        assert set(store) == set(reference)
+        assert list(store) == list(expected_store_state(crash_after))
         assert store.version == crash_after
         assert store.last_recovery.truncated_bytes > 0
         store.close()
 
     def test_crash_between_snapshots_replays_wal_suffix(self, tmp_path):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--snapshot-every", 4, "--crash-after", 10)
+        directory, result = crash_store(tmp_path, self.layout,
+                                        "--snapshot-every", 4,
+                                        "--crash-after", 10)
         assert result.returncode == CRASH_EXIT, result.stderr
         store = recover(directory)
-        reference = expected_store_state(10)
-        assert set(store) == set(reference)
+        assert list(store) == list(expected_store_state(10))
         assert store.version == 10
         # The snapshot carried most of the state; the WAL only the suffix.
         assert store.last_recovery.snapshot_lsn > 0
@@ -99,92 +115,82 @@ class TestStoreCrashRecovery:
         store.close()
 
     def test_recovered_store_keeps_accepting_writes(self, tmp_path):
-        directory = str(tmp_path / "kg")
-        run_worker("store", "--dir", directory, "--ops", 20,
-                   "--crash-after", 5, "--torn")
+        directory, _ = crash_store(tmp_path, self.layout, "--crash-after", 5,
+                                   "--torn")
         store = recover(directory)
         for op in store_ops(20)[5:]:
             apply_store_op(store, op)
         store.close()
         # A second recovery sees the completed sequence.
         final = recover(directory)
-        reference = expected_store_state(20)
-        assert set(final) == set(reference)
+        assert list(final) == list(expected_store_state(20))
         assert final.version == 20
         final.close()
 
 
-class TestShardedStoreCrashRecovery:
-    """The sharded WAL layout honors the same crash contract: per-shard
-    logs + global ``seq`` recover exactly the committed prefix, at the
-    original shard count or a different one."""
+class TestShardedStoreCrashRecovery(StoreCrashMatrix):
+    """The matrix over four hash shards, plus recovery under another
+    shard count."""
 
-    @pytest.mark.parametrize("crash_after", [1, 4, 11])
-    def test_recovery_matches_committed_prefix(self, tmp_path, crash_after):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--shards", 4, "--crash-after", crash_after)
-        assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
-        reference = expected_store_state(crash_after)
-        assert store.shard_count == 4
-        assert list(store) == list(reference)  # membership AND order
-        assert store.version == reference.version == crash_after
-        assert store.last_recovery.truncated_bytes == 0
-        store.close()
+    layout = "sharded"
 
     @pytest.mark.parametrize("crash_after", [2, 7])
     def test_torn_shard_log_tail_is_truncated(self, tmp_path, crash_after):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--shards", 4, "--crash-after", crash_after,
-                            "--torn")
-        assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
-        reference = expected_store_state(crash_after)
-        assert set(store) == set(reference)
-        assert store.version == crash_after
-        assert store.last_recovery.truncated_bytes > 0
-        store.close()
-
-    def test_crash_between_snapshots_replays_shard_suffixes(self, tmp_path):
-        directory = str(tmp_path / "kg")
-        result = run_worker("store", "--dir", directory, "--ops", 20,
-                            "--shards", 4, "--snapshot-every", 4,
-                            "--crash-after", 10)
-        assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory)
-        reference = expected_store_state(10)
-        assert set(store) == set(reference)
-        assert store.version == 10
-        assert store.last_recovery.snapshot_lsn > 0
-        store.close()
-
-    def test_recovered_store_keeps_accepting_writes(self, tmp_path):
-        directory = str(tmp_path / "kg")
-        run_worker("store", "--dir", directory, "--ops", 20,
-                   "--shards", 4, "--crash-after", 5, "--torn")
-        store = recover_sharded(directory)
-        for op in store_ops(20)[5:]:
-            apply_store_op(store, op)
-        store.close()
-        final = recover_sharded(directory)
-        reference = expected_store_state(20)
-        assert set(final) == set(reference)
-        assert final.version == 20
-        final.close()
+        self.check_torn_tail_is_truncated(tmp_path, crash_after)
 
     def test_recovery_under_a_different_shard_count(self, tmp_path):
         directory = str(tmp_path / "kg")
         result = run_worker("store", "--dir", directory, "--ops", 20,
                             "--shards", 2, "--crash-after", 8)
         assert result.returncode == CRASH_EXIT, result.stderr
-        store = recover_sharded(directory, shards=5)
-        reference = expected_store_state(8)
+        store = recover(directory, shards=5)
         assert store.shard_count == 5
-        assert list(store) == list(reference)
+        assert list(store) == list(expected_store_state(8))
         assert store.version == 8
         store.close()
+
+
+class TestStoreCrashRecovery(StoreCrashMatrix):
+    """The matrix over the flat layout, plus directories written before
+    records carried a seq."""
+
+    layout = "flat"
+
+    @pytest.mark.parametrize("crash_after", [2, 7])
+    def test_torn_wal_tail_is_truncated(self, tmp_path, crash_after):
+        self.check_torn_tail_is_truncated(tmp_path, crash_after)
+
+    def test_parent_format_flat_directory_recovers(self, tmp_path):
+        # The flat layout before records carried a seq and snapshots a
+        # version line: "<op> <lsn>" record headers and a "# lsn=" header
+        # only. The log still holds the records the snapshot folds in (a
+        # crash between snapshot and log reset).
+        directory = tmp_path / "kg"
+        directory.mkdir()
+        reference = TripleStore()
+        with open(directory / WAL_FILENAME, "wb") as log:
+            for index, (kind, triples) in enumerate(store_ops(12)):
+                apply_store_op(reference, (kind, triples))
+                log.write(encode_record(
+                    WalRecord(kind, reference.version, tuple(triples))))
+                if index == 5:
+                    (directory / SNAPSHOT_FILENAME).write_text(
+                        f"# lsn={reference.version}\n"
+                        + "".join(t.n3() + "\n" for t in reference))
+        store = recover(str(directory))
+        assert type(store) is DurableTripleStore
+        assert list(store) == list(reference)
+        assert store.version == reference.version == 12
+        assert store.last_recovery.snapshot_lsn == 6
+        assert store.last_recovery.records_replayed == 6
+        # New records continue the sequence behind the unsequenced ones.
+        for op in store_ops(20)[12:]:
+            apply_store_op(store, op)
+        store.close()
+        again = recover(str(directory))
+        assert list(again) == list(expected_store_state(20))
+        assert again.version == 20
+        again.close()
 
 
 class TestQaKillResume:

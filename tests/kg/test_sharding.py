@@ -15,12 +15,11 @@ from repro.core.executor import ParallelExecutor
 from repro.kg.sharding import (
     DurableShardedTripleStore,
     ShardedTripleStore,
-    recover_sharded,
     shard_of,
 )
 from repro.kg.store import TripleStore
 from repro.kg.triples import IRI, XSD, Literal, Triple
-from repro.kg.wal import scan_wal
+from repro.kg.wal import recover, scan_wal
 
 EX = lambda name: IRI(f"http://example.org/{name}")
 
@@ -191,7 +190,7 @@ class TestDurableSharded:
         store.add_all(data)
         store.remove_all(data[10:20])
         store.close()
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert recovered.shard_count == 4  # from the manifest
         assert list(recovered) == list(store)
         assert recovered.version == store.version
@@ -216,10 +215,10 @@ class TestDurableSharded:
         store.add_all(corpus())
         count = store.snapshot()
         assert count == len(store)
-        assert all(os.path.getsize(path) == 0 for path in store.wal_paths)
+        assert all(os.path.getsize(path) == 0 for path in store.wal.paths)
         store.add(Triple(EX("post"), EX("p"), EX("o")))
         store.close()
-        recovered = recover_sharded(str(tmp_path / "kg"))
+        recovered = recover(str(tmp_path / "kg"))
         assert recovered.last_recovery.snapshot_triples == count
         assert recovered.last_recovery.records_replayed == 1
         assert len(recovered) == count + 1
@@ -238,7 +237,7 @@ class TestDurableSharded:
         # run before the torn one — records after a gap on *either* shard
         # are dropped.
         all_records = []
-        for path in store.wal_paths:
+        for path in store.wal.paths:
             records, _ = scan_wal(path)
             all_records.extend((record, path) for record in records)
         all_records.sort(key=lambda pair: pair[0].seq)
@@ -249,13 +248,13 @@ class TestDurableSharded:
         expected = set()
         for record, _ in all_records[:-1]:
             expected.update(record.triples)
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         state = set(recovered)
         assert state == expected
         assert state != set(store)  # the torn run really was lost
         recovered.close()
         # Orphan records were physically dropped: recovery is now stable.
-        again = recover_sharded(directory)
+        again = recover(directory)
         assert set(again) == state
         assert again.last_recovery.truncated_bytes == 0
         again.close()
@@ -265,7 +264,7 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(directory, shards=7)
         store.add_all(corpus())
         store.close()
-        recovered = recover_sharded(directory)  # no shards= argument
+        recovered = recover(directory)  # no shards= argument
         assert recovered.shard_count == 7
         recovered.close()
 
@@ -275,11 +274,35 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(directory, shards=2)
         store.add_all(data)
         store.close()
-        recovered = recover_sharded(directory, shards=5)
+        recovered = recover(directory, shards=5)
         assert recovered.shard_count == 5
         assert list(recovered) == list(store)
         equivalent_reads(recovered, TripleStore(data))
         recovered.close()
+
+    def test_recovery_under_fewer_shards_reads_every_log(self, tmp_path):
+        directory = str(tmp_path / "kg")
+        data = corpus()
+        store = DurableShardedTripleStore(directory, shards=7)
+        store.add_all(data)
+        store.close()
+        recovered = recover(directory, shards=2)
+        assert recovered.shard_count == 2
+        assert list(recovered) == list(store)
+        assert recovered.last_recovery.truncated_bytes == 0
+        # Logs past the new count take no new runs; the next snapshot
+        # empties them, and later recoveries still see every write.
+        recovered.add(Triple(EX("late"), EX("p"), EX("o")))
+        recovered.close()
+        again = recover(directory)
+        assert list(again) == list(recovered)
+        again.snapshot()
+        assert all(os.path.getsize(path) == 0 for path in again.wal.paths)
+        again.close()
+        final = recover(directory)
+        assert list(final) == list(recovered)
+        assert final.version == recovered.version
+        final.close()
 
     def test_clear_is_logged_and_replayed(self, tmp_path):
         directory = str(tmp_path / "kg")
@@ -288,7 +311,7 @@ class TestDurableSharded:
         store.clear()
         store.add(Triple(EX("sole"), EX("p"), EX("o")))
         store.close()
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert set(recovered) == {Triple(EX("sole"), EX("p"), EX("o"))}
         recovered.close()
 
@@ -296,7 +319,7 @@ class TestDurableSharded:
         store = DurableShardedTripleStore(str(tmp_path / "kg"), shards=4)
         store.add_all(corpus())
         stats = store.durability_stats()
-        assert stats["shards"] == 4
+        assert stats["logs"] == 4
         assert stats["triples"] == len(store)
         assert stats["wal_records"] >= 1
         assert stats["seq"] == stats["wal_records"]
@@ -327,7 +350,7 @@ class TestRecoverShardedEdges:
         with open(idle, "a", encoding="utf-8"):
             pass
         assert os.path.getsize(idle) == 0
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert list(recovered) == list(store)
         assert recovered.last_recovery.records_replayed == 1
         recovered.close()
@@ -342,7 +365,7 @@ class TestRecoverShardedEdges:
         # happens at replay time, so nothing is lost.
         with open(os.path.join(directory, "manifest.json"), "w") as handle:
             handle.write('{"shards": 5}')
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert recovered.shard_count == 5
         assert list(recovered) == list(store)
         equivalent_reads(recovered, TripleStore(corpus()))
@@ -358,7 +381,7 @@ class TestRecoverShardedEdges:
         # Every record lived on shard 2; losing its directory loses all
         # durable state, and recovery must degrade to empty — not raise.
         shutil.rmtree(os.path.join(directory, "shard-02"))
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         assert len(recovered) == 0
         assert recovered.last_recovery.records_replayed == 0
         recovered.close()
@@ -373,11 +396,11 @@ class TestRecoverShardedEdges:
         # Runs owned by the lost shard leave seq gaps; recovery keeps the
         # longest contiguous prefix of what remains and is stable across
         # repeated recoveries.
-        recovered = recover_sharded(directory)
+        recovered = recover(directory)
         state = set(recovered)
         assert state <= set(store)
         recovered.close()
-        again = recover_sharded(directory)
+        again = recover(directory)
         assert set(again) == state
         again.close()
 

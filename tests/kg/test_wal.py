@@ -117,22 +117,28 @@ class TestSnapshot:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / SNAPSHOT_FILENAME)
         triples = [t(i) for i in range(5)]
-        assert write_snapshot(triples, path, lsn=42) == 5
-        loaded, lsn = read_snapshot(path)
-        assert set(loaded) == set(triples)
-        assert lsn == 42
+        assert write_snapshot(triples, path, 42, 7) == 5
+        loaded, seq, version = read_snapshot(path)
+        assert loaded == triples
+        assert (seq, version) == (42, 7)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = str(tmp_path / SNAPSHOT_FILENAME)
-        write_snapshot([t(0)], path, lsn=1)
+        write_snapshot([t(0)], path, 1, 1)
         assert os.listdir(str(tmp_path)) == [SNAPSHOT_FILENAME]
 
     def test_unheadered_snapshot_defaults_to_lsn_zero(self, tmp_path):
         path = str(tmp_path / "plain.nt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(t(1).n3() + "\n")
-        loaded, lsn = read_snapshot(path)
-        assert loaded == [t(1)] and lsn == 0
+        loaded, seq, version = read_snapshot(path)
+        assert loaded == [t(1)] and seq == version == 0
+
+    def test_lsn_only_snapshot_reads_version_as_lsn(self, tmp_path):
+        path = str(tmp_path / SNAPSHOT_FILENAME)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("# lsn=5\n" + t(1).n3() + "\n")
+        assert read_snapshot(path) == ([t(1)], 5, 5)
 
 
 class TestWriteAheadLog:
@@ -188,7 +194,7 @@ class TestDurableTripleStore:
         assert store.add_all([t(1)]) == 0
         assert store.remove(t(9)) is False
         assert store.remove_all([t(9)]) == 0
-        assert store._wal.records_written == 1
+        assert store.durability_stats()["wal_records"] == 1
         store.close()
 
     def test_clear_is_logged_and_replayed(self, tmp_path):
@@ -208,9 +214,9 @@ class TestDurableTripleStore:
         store = DurableTripleStore(directory)
         store.add_all([t(i) for i in range(4)])
         assert store.snapshot() == 4
-        assert os.path.getsize(store.wal_path) == 0
-        _, lsn = read_snapshot(store.snapshot_path)
-        assert lsn == store.version == 1
+        assert os.path.getsize(store.wal.paths[0]) == 0
+        _, seq, version = read_snapshot(store.wal.snapshot_path)
+        assert seq == version == store.version == 1
         store.close()
         recovered = recover(directory)
         assert recovered.last_recovery.snapshot_triples == 4
@@ -222,8 +228,8 @@ class TestDurableTripleStore:
         store = DurableTripleStore(str(tmp_path / "kg"), snapshot_every=3)
         for i in range(7):
             store.add(t(i))
-        assert store.snapshots_written == 2
-        records, _ = scan_wal(store.wal_path)
+        assert store.durability_stats()["snapshots"] == 2
+        records, _ = scan_wal(store.wal.paths[0])
         assert len(records) == 1  # only the post-snapshot suffix remains
         store.close()
 
@@ -234,7 +240,8 @@ class TestDurableTripleStore:
         store = DurableTripleStore(directory)
         store.add_all([t(1), t(2)])
         store.add(t(3))
-        write_snapshot(store, store.snapshot_path, store.version)
+        write_snapshot(store, store.wal.snapshot_path, store.version,
+                       store.version)
         store.close()  # log never reset: all records ≤ snapshot LSN
         recovered = recover(directory)
         assert recovered.last_recovery.records_replayed == 0
@@ -244,7 +251,7 @@ class TestDurableTripleStore:
 
     def test_fresh_directory_reports_no_recovery(self, tmp_path):
         store = DurableTripleStore(str(tmp_path / "kg"))
-        assert store.recoveries == 0
+        assert store.durability_stats()["recoveries"] == 0
         assert store.last_recovery.version == 0
         store.close()
 
@@ -267,7 +274,7 @@ class TestDurableTripleStore:
         store = DurableTripleStore(directory)
         store.add(t(1))
         store.close()
-        with open(store.wal_path, "ab") as handle:
+        with open(store.wal.paths[0], "ab") as handle:
             handle.write(b"\x00\x00\x00\x20torn")
         recovered = recover(directory)
         assert recovered.last_recovery.truncated_bytes == 8
@@ -276,6 +283,21 @@ class TestDurableTripleStore:
         recovered.close()
         again = recover(directory)
         assert again.last_recovery.truncated_bytes == 0
+        again.close()
+
+
+class TestRecoverLayouts:
+    def test_shards_for_a_flat_directory_is_rejected(self, tmp_path):
+        directory = str(tmp_path / "kg")
+        store = DurableTripleStore(directory)
+        store.add(t(1))
+        store.close()
+        with pytest.raises(ValueError, match="flat"):
+            recover(directory, shards=4)
+        # Nothing was rewritten: the flat store still recovers whole.
+        again = recover(directory)
+        assert type(again) is DurableTripleStore
+        assert list(again) == [t(1)]
         again.close()
 
 

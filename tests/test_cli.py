@@ -164,6 +164,25 @@ class TestKgDurability:
         out = capsys.readouterr().out
         assert "13 torn bytes truncated" in out
 
+    def test_recover_reads_sharded_layout_logs(self, tmp_path, capsys):
+        from repro.kg.sharding import DurableShardedTripleStore
+        from repro.kg.triples import IRI, Triple
+
+        directory = str(tmp_path / "kg")
+        facts = [Triple(IRI(f"http://example.org/s{i}"),
+                        IRI("http://example.org/p"),
+                        IRI(f"http://example.org/o{i}")) for i in range(17)]
+        live = DurableShardedTripleStore(directory, shards=4)
+        live.add_all(facts[:10])
+        live.snapshot()
+        live.add_all(facts[10:])  # post-snapshot records in shard logs
+        live.close()
+        assert main(["kg", "recover", directory]) == 0
+        out = capsys.readouterr().out
+        assert (f"recovered {len(live)} triples at version {live.version} "
+                in out)
+        assert (len(live), live.version) == (17, 2)
+
     def test_recover_missing_directory_returns_2(self, tmp_path, capsys):
         assert main(["kg", "recover", str(tmp_path / "nope")]) == 0
         # A missing directory recovers to an empty store (mkdir + no state);
